@@ -16,6 +16,16 @@ the victims die hosting several in-flight protocol instances at once,
 and recovery must replay the interleaved per-transaction WAL records.
 ``--txns 1`` reproduces the original single-transaction demo.
 
+The victims are killed once every survivor has durably applied both
+victims' votes on every transaction (the vote payloads are in the
+survivors' WAL ``step`` records): from that point all votes have
+arrived on time everywhere that keeps running, so commit is owed and
+the demo can assert it.  Killing on a fixed timer raced the first
+protocol steps on a slow host and sometimes ended in a (legal)
+unanimous abort; so did killing as soon as the victims' own ``vote``
+records were durable, since a vote logged but not yet sent reaches
+the others only after the restart, too late.
+
 Exit status: 0 on a consistent, fully-decided cluster; 1 otherwise.
 
 Usage::
@@ -35,6 +45,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+from repro.service.wal import FileWalStore, decode_line, read_snapshot
 
 N = 5
 COORDINATOR = 0
@@ -145,6 +157,74 @@ def multi_txn_agreement(args, doc: dict) -> dict[int, int] | None:
     return agreed
 
 
+def wal_records(args, pid: int) -> list[dict]:
+    """The records now durable in node ``pid``'s WAL: its snapshot's,
+    then its log's.
+
+    The node is appending meanwhile, so a torn last line is skipped;
+    a record moved from the log into a snapshot between the two reads
+    is picked up by the caller's next poll.
+    """
+    directory = Path(args.data_dir) / f"node{pid}"
+    records = []
+    try:
+        snapshot = read_snapshot(FileWalStore(directory))
+        if snapshot is not None:
+            records.extend(snapshot["records"])
+        lines = (directory / "log.jsonl").read_text(encoding="utf-8")
+    except FileNotFoundError:
+        lines = ""
+    for line in lines.splitlines():
+        record = decode_line(line)
+        if record is not None:
+            records.append(record)
+    return records
+
+
+def votes_applied(records: list[dict]) -> set[tuple[int, int]]:
+    """``(sender, txn)`` of every vote a node durably applied: the vote
+    payloads inside its ``step`` records' delivered batches."""
+    applied = set()
+    for record in records:
+        if record["type"] != "step":
+            continue
+        for sender, _incarnation, _seq, payloads in record.get("batch", []):
+            # Multi-transaction entries group payloads by txn; a v1
+            # entry is the default transaction's flat payload list.
+            groups = payloads["g"] if isinstance(payloads, dict) else [
+                [0, payloads]
+            ]
+            for txn, docs in groups:
+                if any(doc.get("k") == "vote" for doc in docs):
+                    applied.add((sender, txn))
+    return applied
+
+
+def await_delivered_votes(args, timeout: float = 30.0) -> bool:
+    """Poll the survivors' WALs until each has durably applied both
+    victims' votes on every transaction; False on timeout."""
+    txns = [0] if args.txns == 1 else range(1, args.txns + 1)
+    owed = {
+        (victim, txn) for victim in (COORDINATOR, PARTICIPANT) for txn in txns
+    }
+    survivors = [
+        pid for pid in range(N) if pid not in (COORDINATOR, PARTICIPANT)
+    ]
+    seen: dict[int, set[tuple[int, int]]] = {pid: set() for pid in survivors}
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        for pid in survivors:
+            # Durable records stay durable: accumulate across polls.
+            seen[pid] |= votes_applied(wal_records(args, pid))
+        if all(owed <= seen[pid] for pid in survivors):
+            return True
+        time.sleep(args.tick_interval / 4)
+    missing = {pid: sorted(owed - seen[pid]) for pid in survivors}
+    print(f"victims' votes never reached the survivors: {missing}",
+          file=sys.stderr)
+    return False
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--data-dir", default="/tmp/repro-crash-demo")
@@ -180,11 +260,13 @@ def main() -> int:
         if not submit_all(args):
             return 1
 
-        # Strike mid-commit: the tick interval keeps the protocol slow
-        # enough that both victims die with the outcome(s) still open —
-        # in multi-transaction mode the back-to-back submissions mean
-        # every instance is in flight when the signal lands.
-        time.sleep(4 * args.tick_interval)
+        # Strike mid-commit, as soon as the victims' votes have been
+        # delivered: the tick interval keeps the agreement rounds slow
+        # enough that both die with the outcome(s) still open — in
+        # multi-transaction mode every instance is in flight when the
+        # signal lands.
+        if not await_delivered_votes(args):
+            return 1
         for victim in (COORDINATOR, PARTICIPANT):
             print(f"SIGKILL node {victim} (pid {procs[victim].pid})")
             os.kill(procs[victim].pid, signal.SIGKILL)

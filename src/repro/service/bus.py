@@ -20,6 +20,9 @@ Fault randomness is keyed per ``(sender, incarnation, seq, recipient,
 attempt)`` via :data:`~repro.engine.seeds.SERVICE_ENVELOPE_STREAM`, so a
 link's verdict for one transmission is independent of scheduling order —
 the same schedule-independence discipline as the runtime transport.
+The generator is seeded on its first draw: a fault-free link with a
+fixed delay never draws, and seeding one per send would dominate the
+send's cost.
 """
 
 from __future__ import annotations
@@ -32,6 +35,24 @@ from repro.errors import ServiceError
 from repro.runtime.delays import DelayModel, FixedDelay
 from repro.runtime.transport import LinkFaultPolicy
 from repro.service.wire import ServiceEnvelope
+
+
+class _KeyedRandom:
+    """A :class:`random.Random` for one transmission, seeded on first use.
+
+    Draws see exactly the generator ``random.Random(seed)`` would be.
+    """
+
+    __slots__ = ("_seed", "_rng")
+
+    def __init__(self, seed: int) -> None:
+        self._seed = seed
+        self._rng: random.Random | None = None
+
+    def __getattr__(self, name: str):
+        if self._rng is None:
+            self._rng = random.Random(self._seed)
+        return getattr(self._rng, name)
 
 
 class ServiceBus:
@@ -102,7 +123,7 @@ class ServiceBus:
             raise ServiceError(
                 f"recipient {recipient} out of range for n={self.n}"
             )
-        rng = random.Random(
+        rng = _KeyedRandom(
             derive_keyed(
                 self.seed,
                 SERVICE_ENVELOPE_STREAM,

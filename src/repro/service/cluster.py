@@ -268,6 +268,15 @@ class ServiceCluster:
         self.unsubmittable: set[int] = set()
         self.txn_submitted_at: dict[int, float] = {}
         self.txn_decided_at: dict[int, float] = {}
+        # Completion tracking in O(open work): submitted txns that have
+        # not completed yet, and per pid the submitted txns of its group
+        # its current node is not known to hold a decision for.  A node
+        # never loses a decision within one life, so a known decision
+        # stays known until the pid is killed; a kill makes every txn
+        # of the group unconfirmed again, for the down pid and then for
+        # the fresh node that replaces it.
+        self._incomplete: set[int] = set()
+        self._unconfirmed: dict[int, set[int]] = {}
         self.stores = (
             stores
             if stores is not None
@@ -321,6 +330,7 @@ class ServiceCluster:
             node.halt()
         for task in self._live.pop(pid, []):
             task.cancel()
+        self._unconfirmed[pid] = self._group_submissions(pid)
         self.bus.mark_down(pid)
         if rng.random() < self.torn_tail_probability:
             # Simulate a SIGKILL landing mid-append: a partial record at
@@ -367,6 +377,14 @@ class ServiceCluster:
     def _group_members(self, txn_id: int) -> range:
         return self.shard_map.members(self.shard_map.group_of(txn_id))
 
+    def _group_submissions(self, pid: int) -> set[int]:
+        group = self.shard_map.group_of_pid(pid)
+        return {
+            txn_id
+            for txn_id in self.submitted_txns
+            if self.shard_map.group_of(txn_id) == group
+        }
+
     async def _drive_workload(self) -> None:
         """Submit the workload on schedule, each transaction to its
         shard's coordinator (waiting out coordinator downtime — the
@@ -393,7 +411,11 @@ class ServiceCluster:
                     # A recovered coordinator already holds the durable
                     # submit record: the transaction is in flight.
                     pass
-                self.submitted_txns.add(txn_id)
+                if txn_id not in self.submitted_txns:
+                    self.submitted_txns.add(txn_id)
+                    self._incomplete.add(txn_id)
+                    for member in self._group_members(txn_id):
+                        self._unconfirmed.setdefault(member, set()).add(txn_id)
                 self.txn_submitted_at.setdefault(
                     txn_id, asyncio.get_running_loop().time()
                 )
@@ -409,24 +431,35 @@ class ServiceCluster:
                 return
             await asyncio.sleep(self.tick_interval)
 
+    def _confirm_decisions(self) -> None:
+        """Drop from each live pid's unconfirmed set the transactions
+        its node now holds a decision for."""
+        for pid, txns in self._unconfirmed.items():
+            node = self.nodes.get(pid)
+            if pid not in self._live or node is None or not txns:
+                continue
+            decided = set()
+            for txn_id in txns:
+                instance = node.mux.get(txn_id)
+                if instance is not None and instance.decision is not None:
+                    decided.add(txn_id)
+            txns -= decided
+
     def _note_completions(self, now: float) -> None:
         """Record the first instant every non-crashed member of a
         transaction's group holds a decision for it."""
-        for txn_id in self.submitted_txns:
-            if txn_id in self.txn_decided_at:
-                continue
+        self._confirm_decisions()
+        for txn_id in sorted(self._incomplete):
             members = [
                 pid
                 for pid in self._group_members(txn_id)
                 if pid not in self.permanently_crashed
             ]
-            if members and all(
-                pid in self._live
-                and self.nodes.get(pid) is not None
-                and txn_id in self.nodes[pid].decisions()
-                for pid in members
+            if members and not any(
+                txn_id in self._unconfirmed[pid] for pid in members
             ):
                 self.txn_decided_at[txn_id] = now
+                self._incomplete.discard(txn_id)
 
     def _undecided_map(self) -> dict[int, list[int]]:
         """Which nodes still lack decisions on which transactions —
@@ -442,19 +475,17 @@ class ServiceCluster:
                     and self.nodes[pid].decision is not None
                 )
             }
-        pending: dict[int, list[int]] = {}
-        for txn_id in sorted(self.submitted_txns):
-            for pid in self._group_members(txn_id):
-                if pid in self.permanently_crashed:
-                    continue
-                node = self.nodes.get(pid)
-                if (
-                    pid not in self._live
-                    or node is None
-                    or txn_id not in node.decisions()
-                ):
-                    pending.setdefault(pid, []).append(txn_id)
-        return pending
+        self._confirm_decisions()
+        pending = {
+            pid: sorted(txns)
+            for pid, txns in self._unconfirmed.items()
+            if txns and pid not in self.permanently_crashed
+        }
+        # Keys in the order a scan of the sorted txns, each over its
+        # group's members, first meets each pid.
+        return dict(
+            sorted(pending.items(), key=lambda item: (item[1][0], item[0]))
+        )
 
     async def _all_done(self) -> None:
         loop = asyncio.get_running_loop()

@@ -346,11 +346,17 @@ class InstanceMux:
     lazily — by ``submit`` on the coordinator, by first delivery on
     participants — and iterate in creation order, which the log replays
     deterministically.
+
+    ``instances`` holds every instance, closed stubs included; ``open``
+    indexes the live ones in creation order, so stepping and the
+    per-step views cost O(open work) however many transactions a
+    long-lived node has closed.
     """
 
     def __init__(self, config: Any) -> None:
         self.config = config
         self.instances: dict[int, TxnInstance] = {}
+        self.open: dict[int, TxnInstance] = {}
         if not getattr(config, "multi_txn", False):
             self._create(DEFAULT_TXN)
 
@@ -359,6 +365,7 @@ class InstanceMux:
     def _create(self, txn_id: int) -> TxnInstance:
         instance = TxnInstance.open(txn_id, self.config)
         self.instances[txn_id] = instance
+        self.open[txn_id] = instance
         return instance
 
     def get(self, txn_id: int) -> TxnInstance | None:
@@ -372,7 +379,7 @@ class InstanceMux:
 
     def close_txn(self, txn_id: int) -> TxnInstance:
         """Demote a decided instance to a closed stub (frees its state)."""
-        live = self.instances[txn_id]
+        live = self.open.pop(txn_id)
         stub = TxnInstance.closed(txn_id, live.decision, live.decision_origin)
         stub.submitted = live.submitted
         stub.decided_at = live.decided_at
@@ -384,10 +391,8 @@ class InstanceMux:
         with the decision durably logged."""
         return sorted(
             txn_id
-            for txn_id, instance in self.instances.items()
-            if instance.process is not None
-            and instance.decision is not None
-            and instance.decision_logged
+            for txn_id, instance in self.open.items()
+            if instance.decision is not None and instance.decision_logged
         )
 
     # -- aggregate views ---------------------------------------------------------
@@ -400,7 +405,7 @@ class InstanceMux:
     @property
     def idle(self) -> bool:
         """No instance has protocol work left (idle ticks need no log)."""
-        return all(inst.settled for inst in self.instances.values())
+        return all(inst.settled for inst in self.open.values())
 
     def decisions(self) -> dict[int, int]:
         """Every transaction this node has an effective decision for."""
@@ -421,8 +426,8 @@ class InstanceMux:
         """Live instances still awaiting a decision."""
         return sorted(
             txn_id
-            for txn_id, inst in self.instances.items()
-            if inst.decision is None and inst.process is not None
+            for txn_id, inst in self.open.items()
+            if inst.decision is None
         )
 
     def digest(self) -> str:
@@ -487,10 +492,8 @@ class InstanceMux:
                     for payload in payloads
                 )
         outgoing: dict[int, list[PayloadGroup]] = {}
-        for txn_id, instance in self.instances.items():
+        for txn_id, instance in self.open.items():
             process = instance.process
-            if process is None:
-                continue
             inbound = delivered.get(txn_id)
             if instance.decision is not None and not inbound:
                 continue

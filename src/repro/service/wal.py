@@ -72,8 +72,9 @@ import os
 import time
 import zlib
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 from repro.errors import WalError
 from repro.telemetry import registry as telemetry
@@ -101,25 +102,31 @@ RECORD_TYPES = (
 )
 
 
-def _canonical(record: dict[str, Any]) -> str:
+def _canonical(record: Any) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def _crc(body: str) -> int:
+    return zlib.crc32(body.encode("utf-8"))
+
+
+def _line(body: str) -> str:
+    """The log line around a record's canonical ``body``.
+
+    Byte-identical to the canonical encoding of ``{"c": crc, "r":
+    record}``: sorted keys put ``c`` first, and a canonical encoding
+    nests canonical encodings verbatim.
+    """
+    return '{"c":%d,"r":%s}\n' % (_crc(body), body)
 
 
 def encode_record(record: dict[str, Any]) -> str:
     """One checksummed JSONL line for ``record`` (newline included)."""
-    body = _canonical(record)
-    crc = zlib.crc32(body.encode("utf-8"))
-    return json.dumps({"c": crc, "r": record}, sort_keys=True,
-                      separators=(",", ":")) + "\n"
+    return _line(_canonical(record))
 
 
-def decode_line(line: str) -> dict[str, Any] | None:
-    """The record in one line, or ``None`` if the line is invalid.
-
-    Invalid covers truncated JSON, a missing checksum, a checksum
-    mismatch, and an unknown record type — everything a torn write can
-    produce.
-    """
+def _decode(line: str) -> tuple[dict[str, Any], str] | None:
+    """``(record, canonical body)`` of one line, or ``None`` if invalid."""
     try:
         doc = json.loads(line)
     except json.JSONDecodeError:
@@ -129,11 +136,23 @@ def decode_line(line: str) -> dict[str, Any] | None:
     record = doc["r"]
     if not isinstance(record, dict):
         return None
-    if zlib.crc32(_canonical(record).encode("utf-8")) != doc["c"]:
+    body = _canonical(record)
+    if _crc(body) != doc["c"]:
         return None
     if record.get("type") not in RECORD_TYPES:
         return None
-    return record
+    return record, body
+
+
+def decode_line(line: str) -> dict[str, Any] | None:
+    """The record in one line, or ``None`` if the line is invalid.
+
+    Invalid covers truncated JSON, a missing checksum, a checksum
+    mismatch, and an unknown record type — everything a torn write can
+    produce.
+    """
+    decoded = _decode(line)
+    return None if decoded is None else decoded[0]
 
 
 # -- storage backends ---------------------------------------------------------
@@ -299,9 +318,11 @@ class FileWalStore(WalStore):
 
 @dataclass
 class WalReadResult:
-    """Outcome of reading one log: the valid records and tail health."""
+    """Outcome of reading one log: the valid records, their canonical
+    bodies (index-aligned), and tail health."""
 
     records: list[dict[str, Any]] = field(default_factory=list)
+    bodies: list[str] = field(default_factory=list)
     valid_lines: int = 0
     torn_tail: bool = False
 
@@ -317,8 +338,8 @@ def read_log(store: WalStore) -> WalReadResult:
     lines = store.read_lines()
     bad_at: int | None = None
     for index, line in enumerate(lines):
-        record = decode_line(line)
-        if record is None:
+        decoded = _decode(line)
+        if decoded is None:
             if not line.strip() and index == len(lines) - 1:
                 continue  # trailing blank line, not a record
             if bad_at is None:
@@ -329,7 +350,8 @@ def read_log(store: WalStore) -> WalReadResult:
                 f"valid record at line {index + 1} after invalid line "
                 f"{bad_at + 1}: mid-log corruption, not a torn tail"
             )
-        result.records.append(record)
+        result.records.append(decoded[0])
+        result.bodies.append(decoded[1])
         result.valid_lines += 1
     if bad_at is not None:
         result.torn_tail = True
@@ -370,8 +392,11 @@ class WriteAheadLog:
             self.store.truncate_lines(result.valid_lines)
         return result
 
-    def append(self, record: dict[str, Any]) -> None:
-        self.store.append_line(encode_record(record))
+    def append(self, record: dict[str, Any]) -> str:
+        """Append ``record``; returns its canonical body, the form a
+        snapshot is assembled from."""
+        body = _canonical(record)
+        self.store.append_line(_line(body))
         self.appended += 1
         if self.fsync:
             started = time.perf_counter()
@@ -388,6 +413,7 @@ class WriteAheadLog:
                 help="WAL records appended, by type",
                 type=record.get("type", "unknown"),
             )
+        return body
 
     def append_all(self, records: Iterable[dict[str, Any]]) -> None:
         for record in records:
@@ -424,34 +450,46 @@ def reset_log_after_compaction(store: WalStore, taken_at_step: int) -> None:
     store.sync()
 
 
+def _snapshot_body(
+    bodies: Iterable[str], digest: str, taken_at_step: int, schema: str
+) -> str:
+    """The canonical snapshot document around canonical record bodies.
+
+    Byte-identical to the canonical encoding of the document dict: its
+    keys in sorted order, each record's canonical body verbatim.
+    """
+    return '{"digest":%s,"records":[%s],"schema":%s,"taken_at_step":%d}' % (
+        encode_basestring_ascii(digest),
+        ",".join(bodies),
+        encode_basestring_ascii(schema),
+        taken_at_step,
+    )
+
+
 def write_snapshot(
     store: WalStore,
-    records: list[dict[str, Any]],
+    records: Sequence[str | dict[str, Any]],
     digest: str,
     taken_at_step: int,
 ) -> None:
     """Compact ``records`` into the snapshot slot and truncate the log.
 
     ``records`` must be the node's *complete* canonical record history
-    (its replay inputs); ``digest`` is the replayed-state digest at
+    (its replay inputs), each given as its canonical body (what
+    :meth:`WriteAheadLog.append` returns) or as a record dict, which is
+    encoded here; ``digest`` is the replayed-state digest at
     ``taken_at_step`` for recovery-time integrity checking.  The
     truncated log is re-seeded with the snapshot's compaction marker so
     a kill at any instant of this sequence is recoverable (see
     :func:`split_log_suffix`).
     """
-    doc = {
-        "schema": SNAPSHOT_SCHEMA,
-        "taken_at_step": taken_at_step,
-        "digest": digest,
-        "records": records,
-    }
-    body = _canonical(doc)
-    envelope = json.dumps(
-        {"c": zlib.crc32(body.encode("utf-8")), "d": doc},
-        sort_keys=True,
-        separators=(",", ":"),
+    body = _snapshot_body(
+        (r if isinstance(r, str) else _canonical(r) for r in records),
+        digest,
+        taken_at_step,
+        SNAPSHOT_SCHEMA,
     )
-    store.write_snapshot(envelope)
+    store.write_snapshot('{"c":%d,"d":%s}' % (_crc(body), body))
     reset_log_after_compaction(store, taken_at_step)
     if telemetry.enabled():
         telemetry.count(
@@ -459,8 +497,20 @@ def write_snapshot(
         )
 
 
-def read_snapshot(store: WalStore) -> dict[str, Any] | None:
+#: The keys of a snapshot document, in canonical order.
+_SNAPSHOT_KEYS = ["digest", "records", "schema", "taken_at_step"]
+
+
+def read_snapshot(
+    store: WalStore, bodies: list[str] | None = None
+) -> dict[str, Any] | None:
     """Load and verify the snapshot document, if one exists.
+
+    The checksum is verified over the canonical form of the document,
+    whatever whitespace the stored text has.  When ``bodies`` is given,
+    it is extended with the canonical body of each snapshot record —
+    computed once, for the checksum — so a caller can keep the record
+    history without encoding it again.
 
     Raises:
         WalError: on a checksum-failing or schema-mismatched snapshot —
@@ -476,13 +526,32 @@ def read_snapshot(store: WalStore) -> dict[str, Any] | None:
         crc = envelope["c"]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise WalError("unreadable snapshot document") from exc
-    if zlib.crc32(_canonical(doc).encode("utf-8")) != crc:
+    record_bodies = None
+    if (
+        isinstance(doc, dict)
+        and sorted(doc) == _SNAPSHOT_KEYS
+        and isinstance(doc["records"], list)
+        and isinstance(doc["digest"], str)
+        and isinstance(doc["schema"], str)
+        and type(doc["taken_at_step"]) is int
+    ):
+        record_bodies = [_canonical(record) for record in doc["records"]]
+        body = _snapshot_body(
+            record_bodies, doc["digest"], doc["taken_at_step"], doc["schema"]
+        )
+    else:
+        body = _canonical(doc)
+    if _crc(body) != crc:
         raise WalError("snapshot checksum mismatch")
     if doc.get("schema") != SNAPSHOT_SCHEMA:
         raise WalError(
             f"unsupported snapshot schema {doc.get('schema')!r} "
             f"(expected {SNAPSHOT_SCHEMA!r})"
         )
+    if bodies is not None:
+        if record_bodies is None:
+            record_bodies = [_canonical(record) for record in doc["records"]]
+        bodies.extend(record_bodies)
     return doc
 
 
@@ -512,13 +581,15 @@ def split_log_suffix(
 
 def durable_records(store: WalStore) -> WalReadResult:
     """A node's full replay input: snapshot records + log suffix."""
-    snapshot = read_snapshot(store)
+    bodies: list[str] = []
+    snapshot = read_snapshot(store, bodies)
     log = read_log(store)
     if snapshot is None:
         return log
     suffix, _has_marker = split_log_suffix(snapshot, log.records)
     return WalReadResult(
         records=list(snapshot["records"]) + suffix,
+        bodies=bodies + log.bodies[len(log.bodies) - len(suffix):],
         valid_lines=log.valid_lines,
         torn_tail=log.torn_tail,
     )
