@@ -3,12 +3,22 @@
 Deployment layout: node ``p`` of an ``n``-node cluster is one process
 (`repro service start`) listening on ``base_port + p``, with its WAL and
 snapshot in ``<data_dir>/node<p>/``.  Peers exchange
-:class:`~repro.service.wire.ServiceEnvelope` lines over short-lived
-connections — one connection per transmission attempt, written and
-closed.  Connection failures are simply dropped transmissions: the
-node-level retry-until-acked loop (:mod:`repro.service.node`) is the
-reliability layer, exactly as on the in-memory bus, so a peer that is
-down (killed, restarting) catches up when it returns.
+:class:`~repro.service.wire.ServiceEnvelope` lines over persistent
+links: one long-lived outbound connection per peer, opened on the first
+send and reopened on the first send after it breaks.  While the connect
+is in flight, sends queue (up to :data:`QUEUE_LIMIT` bytes).  An attempt
+is *dropped* — exactly as a refused connection is — when the connect is
+refused, when the queue is full, or when the link's write buffer is
+above the transport's high-water mark (the peer is not reading).
+Dropped attempts cost nothing but time: the node-level
+retry-until-acked loop (:mod:`repro.service.node`) is the reliability
+layer, exactly as on the in-memory bus, so a peer that is down (killed,
+restarting) catches up when it returns.  Peers never write back on a
+link, so its reader sees EOF when the peer goes away; the link is then
+forgotten and the next send reconnects.  Receivers read any number of
+lines per connection.  On halt a server closes its outbound links and
+every accepted connection, so ``serve()`` returns even while peers
+hold their links to it open.
 
 Clients (``repro service submit|status``) speak the same envelope
 framing with ``sender = -1`` and get an inline reply on the same
@@ -36,9 +46,14 @@ from repro.service.node import ServiceNode
 from repro.service.recovery import NodeConfig
 from repro.service.wal import FileWalStore
 from repro.service.wire import ServiceEnvelope
+from repro.telemetry import registry as telemetry
 from repro.telemetry.log import get_logger
 
 _log = get_logger("service.server")
+
+#: Bytes a peer link queues while its connect is in flight; sends
+#: beyond this are dropped (asyncio's default write high-water mark).
+QUEUE_LIMIT = 64 * 1024
 
 
 def peer_address(base_port: int, pid: int, host: str = "127.0.0.1") -> tuple[str, int]:
@@ -91,28 +106,64 @@ class ServiceServer:
             seed=seed,
         )
         self._server: asyncio.base_events.Server | None = None
+        #: Open outbound links, by peer pid.
+        self._links: dict[int, asyncio.StreamWriter] = {}
+        #: Bytes queued for peers whose connect is in flight.
+        self._queued: dict[int, bytearray] = {}
+        self._link_tasks: set[asyncio.Task] = set()
+        #: Accepted connections (peers' links and clients).
+        self._inbound: set[asyncio.StreamWriter] = set()
 
     # -- outbound ------------------------------------------------------------
 
     def _send(
         self, recipient: int, envelope: ServiceEnvelope, attempt: int
     ) -> None:
-        asyncio.ensure_future(self._transmit(recipient, envelope))
+        data = envelope.encode()
+        writer = self._links.get(recipient)
+        if writer is not None and not writer.is_closing():
+            transport = writer.transport
+            if (
+                transport.get_write_buffer_size()
+                <= transport.get_write_buffer_limits()[1]
+            ):
+                writer.write(data)
+            return  # else dropped: the peer is not reading
+        queue = self._queued.get(recipient)
+        if queue is None:
+            queue = self._queued[recipient] = bytearray()
+            task = asyncio.ensure_future(self._link(recipient))
+            self._link_tasks.add(task)
+            task.add_done_callback(self._link_tasks.discard)
+        if len(queue) + len(data) <= QUEUE_LIMIT:
+            queue += data
 
-    async def _transmit(
-        self, recipient: int, envelope: ServiceEnvelope
-    ) -> None:
+    async def _link(self, recipient: int) -> None:
+        """Connect to ``recipient``, flush its queue, and hold the link
+        open until the peer closes it."""
         host, port = self.peers[recipient]
         try:
-            _reader, writer = await asyncio.open_connection(host, port)
+            reader, writer = await asyncio.open_connection(host, port)
         except OSError:
-            return  # peer down: this attempt is a dropped transmission
+            return  # peer down: the queued attempts are dropped
+        finally:
+            queue = self._queued.pop(recipient)
+        if telemetry.enabled():
+            telemetry.count(
+                "service_peer_connects_total",
+                help="outbound peer connections opened",
+                pid=self.node.pid,
+            )
+        writer.write(queue)
+        self._links[recipient] = writer
         try:
-            writer.write(envelope.encode())
-            await writer.drain()
+            while await reader.read(4096):
+                pass  # peers never write back: EOF means the peer left
         except OSError:
             pass
         finally:
+            if self._links.get(recipient) is writer:
+                del self._links[recipient]
             writer.close()
 
     # -- inbound -------------------------------------------------------------
@@ -120,6 +171,7 @@ class ServiceServer:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        self._inbound.add(writer)
         try:
             while True:
                 line = await reader.readline()
@@ -139,6 +191,7 @@ class ServiceServer:
         except (OSError, asyncio.IncompleteReadError):
             pass
         finally:
+            self._inbound.discard(writer)
             writer.close()
 
     def _client_request(self, envelope: ServiceEnvelope) -> ServiceEnvelope:
@@ -190,6 +243,13 @@ class ServiceServer:
             await self.node.run()
         finally:
             self._server.close()
+            # Server.wait_closed() also waits for accepted connections
+            # (Python 3.12.1+), and peers hold theirs open: close every
+            # link in both directions first.
+            for task in self._link_tasks:
+                task.cancel()
+            for writer in (*self._links.values(), *self._inbound):
+                writer.close()
             await self._server.wait_closed()
 
     def halt(self) -> None:

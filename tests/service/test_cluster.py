@@ -248,8 +248,14 @@ class TestNodeRobustness:
             )
         )
         assert node._acked == {}
+        # An ack for a key nobody is waiting on is not stored (storing
+        # it would grow the map with lifetime traffic) ...
         node._absorb(ServiceEnvelope(kind="ack", sender=0, body={"seq": 3}))
-        assert (0, 0, 3) in node._acked
+        assert node._acked == {}
+        # ... and one for a pending send sets that send's event.
+        pending = node._acked[(0, 0, 4)] = asyncio.Event()
+        node._absorb(ServiceEnvelope(kind="ack", sender=0, body={"seq": 4}))
+        assert pending.is_set()
 
     def test_decided_node_stops_logging_idle_steps(self):
         cfg = node_configs(3, 1, [1, 1, 1], K, seed=0)[1]

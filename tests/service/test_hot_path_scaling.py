@@ -8,6 +8,8 @@ Counts, not time, so these hold on any machine:
   eight short ones;
 * the WAL makes one ``json.dumps`` per line it writes, and snapshots,
   assembled from cached record bodies, make none;
+* a node's ack events and background tasks are its in-flight sends
+  only, however many transactions its life has carried;
 * completion tracking over open transactions answers exactly what the
   full scan over every submitted transaction and node answered, at
   every poll, through kills, restarts and torn tails;
@@ -16,6 +18,7 @@ Counts, not time, so these hold on any machine:
   closes built it.
 """
 
+import asyncio
 import json
 import types
 
@@ -122,6 +125,54 @@ def test_one_json_dumps_per_wal_line(monkeypatch):
     # Every line is a record or a compaction marker, encoded once; the
     # snapshot texts themselves cost no encoding at all.
     assert dumps[0] == sum(store.lines_written for store in stores)
+
+
+def test_send_state_holds_only_in_flight_sends():
+    peaks = {}
+    for txns in (60, 240):
+        cluster = ServiceCluster(
+            shard_configs(1, GROUP_SIZE, T, K, 0),
+            seed=0,
+            tick_interval=TICK,
+            snapshot_every=SNAPSHOT_EVERY,
+            K=K,
+            workload=TxnWorkload.open_loop(txns, RATE, TICK),
+        )
+        samples = []
+
+        async def scenario():
+            async def sample():
+                while True:
+                    await asyncio.sleep(0.01)
+                    for node in cluster.nodes.values():
+                        finished = sum(task.done() for task in node._tasks)
+                        samples.append(
+                            (len(node._acked), len(node._tasks), finished)
+                        )
+
+            sampler = asyncio.ensure_future(sample())
+            try:
+                return await cluster.run(deadline=txns / RATE + 4.0)
+            finally:
+                sampler.cancel()
+
+        result = run_virtual(scenario())
+        assert result.terminated
+        assert samples
+        # While running: no finished task is kept, and every ack event
+        # belongs to a live retransmission task.
+        assert all(finished == 0 for _, _, finished in samples)
+        assert all(acked <= tasks for acked, tasks, _ in samples)
+        peaks[txns] = max(tasks for _, tasks, _ in samples)
+        # After the run nothing is in flight (a task cancelled before
+        # its first step never reaches its own cleanup).
+        for node in cluster.nodes.values():
+            assert node._acked == {}
+            assert len(node._tasks) <= 1
+    # In-flight work tracks the offered rate, not the lifetime: four
+    # times the transactions, not four times the entries (a leak held
+    # ~2000 per node at 240 txns).
+    assert peaks[240] <= 2 * peaks[60]
 
 
 class ScanCheckedCluster(ServiceCluster):
